@@ -2,14 +2,16 @@
 // maintenance (Refresh over the base relations' ModificationLogs,
 // query/view_maintenance.h) against a full recompute (RefreshFull).
 //
-// Two plans are swept, each over write batches of {0.1%, 1%, 10%, 50%}
-// of the base size:
+// Three sweeps, each over write batches of {0.1%, 1%, 10%, 50%} of the
+// base size:
 //
 //  (a) a selection ProjectPlan(Filter(Scan(B))) — the cheapest delta
 //      path: each logged tuple is filtered and projected once;
 //  (b) an equi+overlaps join L |x|_{L.K = R.K ^ L.VT ovlp R.VT} R with
 //      the batch landing on the outer (left) side — each logged tuple
-//      probes the maintainer-owned IntervalIndex on R.VT.
+//      probes the cached R's key table on L.K = R.K;
+//  (c) the same join with the batch landing on the inner (right) side —
+//      each logged tuple probes the cached L's key table.
 //
 // The interesting output is the crossover: below it the delta path wins
 // (the acceptance bar is >= 5x at <= 1% batches on the join plan),
@@ -221,9 +223,20 @@ int main() {
     Report("filter", points, &json);
   }
 
-  std::printf("\n(b) Join L |x|_{L.K = R.K ^ L.VT ovlp R.VT} R "
-              "(batch on the outer side)\n");
-  {
+  const struct {
+    const char* title;
+    const char* label;
+    bool inner;
+  } kJoinSweeps[] = {
+      {"(b) Join L |x|_{L.K = R.K ^ L.VT ovlp R.VT} R (batch on the outer "
+       "side)",
+       "join", false},
+      {"(c) Join L |x|_{L.K = R.K ^ L.VT ovlp R.VT} R (batch on the inner "
+       "side)",
+       "join_inner", true},
+  };
+  for (const auto& sweep : kJoinSweeps) {
+    std::printf("\n%s\n", sweep.title);
     Rng rng(42);
     const int64_t n = Scaled(4000);
     OngoingRelation left = MakeLoggedBase(rng, "L_", n);
@@ -239,9 +252,9 @@ int main() {
       return 1;
     }
     int64_t next_id = n;
-    std::vector<SweepPoint> points =
-        Sweep(&*view, &left, n, &next_id, rng);
-    Report("join", points, &json);
+    std::vector<SweepPoint> points = Sweep(
+        &*view, sweep.inner ? &right : &left, n, &next_id, rng);
+    Report(sweep.label, points, &json);
   }
 
   json.WriteFromEnv();

@@ -71,7 +71,7 @@ size_t JoinKeyHash(const Tuple& tuple, const std::vector<size_t>& indices);
 /// Repartition): tuples with equal keys land in the same partition, so
 /// per-partition build/probe pipelines are disjoint and complete.
 /// Remixes the hash before reduction so the partition id stays
-/// decorrelated from the JoinHashTable's bucket index (which uses the
+/// decorrelated from the hash join's bucket index (which uses the
 /// low bits): within one partition the per-partition build table still
 /// spreads over all of its buckets.
 size_t JoinKeyPartition(size_t hash, size_t num_partitions);

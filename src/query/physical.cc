@@ -13,6 +13,7 @@
 #include "query/kernels.h"
 #include "query/optimizer.h"
 #include "storage/stats.h"
+#include "util/chained_hash_index.h"
 #include "util/failpoint.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -273,55 +274,6 @@ class TupleStream {
   TupleBatch batch_;
   size_t pos_ = 0;
   bool exhausted_ = false;
-};
-
-// A flat, array-chained hash table over the build side's typed join
-// keys. Three contiguous vectors replace the node-per-entry
-// unordered_multiset the engine used before: bucket heads, an intrusive
-// next-chain, and the cached 64-bit key hash per build tuple (probes
-// compare hashes before touching the typed values). Building performs
-// O(1) allocations total instead of one node per build tuple.
-class JoinHashTable {
- public:
-  static constexpr uint32_t kEnd = UINT32_MAX;
-
-  void Build(const std::vector<Tuple>& tuples,
-             const std::vector<size_t>& key_indices) {
-    const size_t n = tuples.size();
-    hashes_.resize(n);
-    next_.assign(n, kEnd);
-    size_t buckets = 16;
-    while (buckets < n * 2) buckets <<= 1;
-    mask_ = buckets - 1;
-    head_.assign(buckets, kEnd);
-    for (size_t i = 0; i < n; ++i) {
-      hashes_[i] = JoinKeyHash(tuples[i], key_indices);
-    }
-    // Head insertion in reverse so every bucket chain enumerates build
-    // tuples in input order.
-    for (size_t i = n; i-- > 0;) {
-      size_t b = hashes_[i] & mask_;
-      next_[i] = head_[b];
-      head_[b] = static_cast<uint32_t>(i);
-    }
-  }
-
-  uint32_t First(size_t hash) const { return head_[hash & mask_]; }
-  uint32_t Next(uint32_t entry) const { return next_[entry]; }
-  size_t HashAt(uint32_t entry) const { return hashes_[entry]; }
-
-  void Reset() {
-    head_.clear();
-    next_.clear();
-    hashes_.clear();
-    mask_ = 0;
-  }
-
- private:
-  std::vector<uint32_t> head_ = {kEnd};
-  std::vector<uint32_t> next_;
-  std::vector<size_t> hashes_;
-  size_t mask_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -744,7 +696,9 @@ class HashJoinOp final : public PhysicalOperator {
     charge_.Init(ctx_);
     ONGOINGDB_RETURN_NOT_OK(
         MaterializeInput(*left_, &owned_build_, &build_, ctx_, &charge_));
-    table_.Build(*build_, left_indices_);
+    table_.Assign(build_->size(), [this](size_t i) {
+      return JoinKeyHash((*build_)[i], left_indices_);
+    });
     ONGOINGDB_RETURN_NOT_OK(probe_.Open(right_.get()));
     chain_valid_ = false;
     return Status::OK();
@@ -768,7 +722,7 @@ class HashJoinOp final : public PhysicalOperator {
         chain_ = table_.First(probe_hash_);
         chain_valid_ = true;
       }
-      while (chain_ != JoinHashTable::kEnd) {
+      while (chain_ != ChainedHashIndex::kEnd) {
         const uint32_t entry = chain_;
         chain_ = table_.Next(chain_);
         if (table_.HashAt(entry) != probe_hash_) continue;
@@ -784,7 +738,7 @@ class HashJoinOp final : public PhysicalOperator {
 
   void Close() override {
     owned_build_.clear();
-    table_.Reset();
+    table_.Clear();
     probe_.Close();
     charge_.Release();
   }
@@ -804,11 +758,11 @@ class HashJoinOp final : public PhysicalOperator {
   // Build state.
   std::vector<Tuple> owned_build_;
   const std::vector<Tuple>* build_ = nullptr;
-  JoinHashTable table_;
+  ChainedHashIndex table_;  // JoinKeyHash per build tuple
   // Probe state: the stream position plus the suspended chain cursor.
   TupleStream probe_;
   size_t probe_hash_ = 0;
-  uint32_t chain_ = JoinHashTable::kEnd;
+  uint32_t chain_ = ChainedHashIndex::kEnd;
   bool chain_valid_ = false;
 };
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "query/interval_index.h"
+#include "query/join.h"
 #include "query/optimizer.h"
 #include "query/physical.h"
 #include "storage/stats.h"
@@ -42,18 +43,29 @@ constexpr double kIndexRebuildFraction = 0.10;
 // conservative.
 constexpr double kSweptEntryCostDiscount = 16.0;
 
-// Type-tagged rendering of a tuple, used as the multiset key for delta
-// matching. Built on the same ToString granularity as the equivalence
-// suite's fingerprints, with the value types prepended so differently
-// typed values can never alias.
-std::string TupleKey(const Tuple& t) {
-  std::string k;
-  for (const Value& v : t.values()) {
-    k += ValueTypeToString(v.type());
-    k += ';';
+// Calls fn(id, tuple) for every entry of a key-hash table whose join key
+// equals the probe's: candidates share the probe's JoinKeyHash and
+// JoinKeysEqual confirms them, as in the hash join.
+template <typename TupleAt, typename Fn>
+Status ForEachKeyMatch(const ChainedHashIndex& table, TupleAt&& tuple_at,
+                       const std::vector<size_t>& table_columns,
+                       const Tuple& probe,
+                       const std::vector<size_t>& probe_columns, Fn&& fn) {
+  const size_t hash = JoinKeyHash(probe, probe_columns);
+  for (uint32_t id = table.First(hash); id != ChainedHashIndex::kEnd;
+       id = table.Next(id)) {
+    if (table.HashAt(id) != hash) continue;
+    const Tuple& t = tuple_at(id);
+    if (!JoinKeysEqual(probe, probe_columns, t, table_columns)) continue;
+    ONGOINGDB_RETURN_NOT_OK(fn(id, t));
   }
-  k += t.ToString();
-  return k;
+  return Status::OK();
+}
+
+// Indexes every position of `rel` by TupleHash: the table a multiset
+// removal finds its tuple through.
+void HashPositions(const OngoingRelation& rel, ChainedHashIndex* out) {
+  out->Assign(rel.size(), [&](size_t i) { return TupleHash(rel.tuple(i)); });
 }
 
 // Median fence of an equi-depth histogram (0 when empty).
@@ -64,18 +76,59 @@ TimePoint HistMedian(const EquiDepthHistogram& h) {
 
 }  // namespace
 
+// The equality-key table of one cached join input: JoinKeyHash of each
+// position's key columns, kept in step with the cache like its tuple
+// positions. Empty `columns` means the join is not keyed.
+struct ViewDeltaMaintainer::KeyTable {
+  std::vector<size_t> columns;
+  ChainedHashIndex index;
+  size_t distinct = 0;  // distinct keys at the last Reseed
+
+  void Rebuild(const OngoingRelation& rel) {
+    if (columns.empty()) return;
+    index.Assign(rel.size(), [&](size_t i) {
+      return JoinKeyHash(rel.tuple(i), columns);
+    });
+    // Fresh chains ascend, so a key is new iff no smaller id on its
+    // chain carries it.
+    distinct = 0;
+    for (uint32_t i = 0; i < rel.size(); ++i) {
+      const size_t hash = index.HashAt(i);
+      bool seen = false;
+      for (uint32_t j = index.First(hash); j < i && !seen; j = index.Next(j)) {
+        seen = index.HashAt(j) == hash &&
+               JoinKeysEqual(rel.tuple(j), columns, rel.tuple(i), columns);
+      }
+      if (!seen) ++distinct;
+    }
+  }
+
+  void Clear() {
+    index.Clear();
+    distinct = 0;
+  }
+};
+
 // One node of the shadow tree. `left` doubles as the single child of
 // Filter/Project nodes.
 struct ViewDeltaMaintainer::DeltaNode {
-  // A cached join input: the materialized pre-state relation plus a
-  // keyed position map for in-place patching.
+  // A cached join input: the materialized pre-state relation plus the
+  // tables that follow its in-place patches.
   struct CachedInput {
     OngoingRelation rel;
-    PositionsMap positions;
+    ChainedHashIndex positions;  // TupleHash per position
+    KeyTable keys;
+
+    void Anchor(OngoingRelation r) {
+      rel = std::move(r);
+      HashPositions(rel, &positions);
+      keys.Rebuild(rel);
+    }
 
     void Clear() {
       rel = OngoingRelation();
-      positions.clear();
+      positions.Clear();
+      keys.Clear();
     }
   };
 
@@ -89,7 +142,9 @@ struct ViewDeltaMaintainer::DeltaNode {
   uint64_t cursor = 1;          // next log sequence not yet applied
   uint64_t consumed_until = 1;  // Phase A high-water mark, committed in C
 
-  // Filter / Join.
+  // Filter: the predicate. Join: the per-pair predicate — the residual
+  // of the equality keys (nullptr when every conjunct is a key), or the
+  // whole predicate when the join is not keyed.
   ExprPtr predicate;
 
   // Project: resolved ordinals into the child schema.
@@ -98,7 +153,8 @@ struct ViewDeltaMaintainer::DeltaNode {
   // Children (Filter/Project use `left` only).
   std::unique_ptr<DeltaNode> left, right;
 
-  // Join.
+  // Join. The key columns live in the caches' key tables; a temporal
+  // (not keyed) join may own an interval index over the cached inner.
   CachedInput left_cache, right_cache;
   std::optional<IndexJoinInfo> index_info;
   std::optional<IntervalIndex> index;  // over right_cache.rel
@@ -106,9 +162,11 @@ struct ViewDeltaMaintainer::DeltaNode {
   bool index_needs_rebuild = false;
   size_t index_deltas_applied = 0;
 
+  bool keyed() const { return !left_cache.keys.columns.empty(); }
+
   // Transient per-ApplyPending state (cleared on every exit path).
   std::vector<DeltaEntry> delta;
-  NetMap net;
+  NetSet net;
 };
 
 ViewDeltaMaintainer::ViewDeltaMaintainer(Passkey) {}
@@ -158,12 +216,21 @@ std::unique_ptr<ViewDeltaMaintainer::DeltaNode> ViewDeltaMaintainer::BuildNode(
       n->left = BuildNode(join->left());
       n->right = BuildNode(join->right());
       if (n->left == nullptr || n->right == nullptr) return nullptr;
-      n->predicate = join->predicate();
-      if (n->predicate == nullptr) return nullptr;
-      n->schema = n->left->schema.Concat(n->right->schema, join->left_prefix(),
-                                         join->right_prefix());
-      n->index_info =
-          MatchIndexJoin(*join, n->left->schema, n->right->schema);
+      if (join->predicate() == nullptr) return nullptr;
+      Result<EquiJoinPlan> equi =
+          PrepareEquiJoin(n->left->schema, n->right->schema,
+                          join->predicate(), join->left_prefix(),
+                          join->right_prefix());
+      if (!equi.ok()) return nullptr;
+      n->schema = std::move(equi->joined);
+      n->predicate = std::move(equi->residual);
+      if (equi->has_keys) {
+        n->left_cache.keys.columns = std::move(equi->left_indices);
+        n->right_cache.keys.columns = std::move(equi->right_indices);
+      } else {
+        n->index_info =
+            MatchIndexJoin(*join, n->left->schema, n->right->schema);
+      }
       return n;
     }
   }
@@ -180,14 +247,6 @@ std::unique_ptr<ViewDeltaMaintainer> ViewDeltaMaintainer::TryCreate(
 }
 
 // --- reseed -----------------------------------------------------------------
-
-void ViewDeltaMaintainer::RebuildPositions(const OngoingRelation& rel,
-                                           PositionsMap* out) {
-  out->clear();
-  for (size_t i = 0; i < rel.size(); ++i) {
-    (*out)[TupleKey(rel.tuple(i))].push_back(i);
-  }
-}
 
 Status ViewDeltaMaintainer::ReseedNode(DeltaNode* n, QueryContext* ctx) {
   switch (n->kind) {
@@ -217,17 +276,15 @@ Status ViewDeltaMaintainer::ReseedNode(DeltaNode* n, QueryContext* ctx) {
           Compile(n->right->plan, ExecMode::kOngoing, 0, ctx));
       ONGOINGDB_ASSIGN_OR_RETURN(OngoingRelation rrel,
                                  DrainToRelation(*rop, ctx));
-      n->left_cache.rel = std::move(lrel);
-      n->right_cache.rel = std::move(rrel);
-      RebuildPositions(n->left_cache.rel, &n->left_cache.positions);
-      RebuildPositions(n->right_cache.rel, &n->right_cache.positions);
+      n->left_cache.Anchor(std::move(lrel));
+      n->right_cache.Anchor(std::move(rrel));
       n->index.reset();
       n->inner_stats.reset();
       n->index_needs_rebuild = false;
       n->index_deltas_applied = 0;
       if (n->index_info.has_value()) {
-        Result<IntervalIndex> built =
-            IntervalIndex::Build(n->right_cache.rel, n->index_info->inner_column);
+        Result<IntervalIndex> built = IntervalIndex::Build(
+            n->right_cache.rel, n->index_info->inner_column);
         if (built.ok()) n->index.emplace(std::move(built).ValueOrDie());
         Result<IntervalColumnStats> stats = ComputeIntervalColumnStats(
             n->right_cache.rel, n->index_info->inner_column_index);
@@ -243,21 +300,21 @@ Status ViewDeltaMaintainer::Reseed(const OngoingRelation& result,
                                    QueryContext* ctx) {
   ready_ = false;
   ONGOINGDB_RETURN_NOT_OK(ReseedNode(root_.get(), ctx));
-  RebuildPositions(result, &root_positions_);
+  HashPositions(result, &root_positions_);
   ready_ = true;
   return Status::OK();
 }
 
 void ViewDeltaMaintainer::Invalidate() {
   ready_ = false;
-  root_positions_.clear();
+  root_positions_.Clear();
   // Drop anchored bulk state so an invalidated maintainer does not pin
   // stale copies of the join inputs.
   struct Dropper {
     static void Drop(DeltaNode* n) {
       if (n == nullptr) return;
       n->delta.clear();
-      n->net.clear();
+      n->net.Clear();
       n->left_cache.Clear();
       n->right_cache.Clear();
       n->index.reset();
@@ -313,11 +370,12 @@ bool ViewDeltaMaintainer::CanApplyIncrementally() const {
   return ready_ && NodeCanApply(root_.get());
 }
 
-// Returns the node's delta-size upper bound while accumulating the cost
-// terms: delta_cost charges each join for its three delta terms (index
-// probes estimated via the sweep fraction when an owned index exists),
-// recompute_cost charges scans and join inputs linearly — the shape of
-// a full re-evaluation.
+// Returns the node's delta-size estimate while accumulating the cost
+// terms: delta_cost charges each join for its three delta terms (a keyed
+// probe meets the mean key bucket of the probed input, |cache| / distinct
+// keys; an index probe is estimated via the sweep fraction), and
+// recompute_cost charges scans and join inputs linearly — the shape of a
+// full re-evaluation.
 double ViewDeltaMaintainer::CostWalk(const DeltaNode* n, double* delta_cost,
                                      double* recompute_cost, double* pending,
                                      double* base_total) {
@@ -345,6 +403,17 @@ double ViewDeltaMaintainer::CostWalk(const DeltaNode* n, double* delta_cost,
                                  pending, base_total);
       const double l0 = static_cast<double>(n->left_cache.rel.size());
       const double r0 = static_cast<double>(n->right_cache.rel.size());
+      *recompute_cost += l0 + r0;
+      if (n->keyed()) {
+        const double left_keys = std::max<double>(
+            1.0, static_cast<double>(n->left_cache.keys.distinct));
+        const double right_keys = std::max<double>(
+            1.0, static_cast<double>(n->right_cache.keys.distinct));
+        const double matches =
+            dl * r0 / right_keys + l0 * dr / left_keys + dl * dr / right_keys;
+        *delta_cost += dl + dr + matches;
+        return matches;
+      }
       double per_probe = r0;
       if (n->index.has_value() && !n->index_needs_rebuild) {
         double sweep = 1.0;
@@ -359,7 +428,6 @@ double ViewDeltaMaintainer::CostWalk(const DeltaNode* n, double* delta_cost,
                              sweep * r0 / kSweptEntryCostDiscount);
       }
       *delta_cost += dl * per_probe + l0 * dr + dl * dr;
-      *recompute_cost += l0 + r0;
       return dl * r0 + l0 * dr + dl * dr;
     }
   }
@@ -387,12 +455,14 @@ Status ViewDeltaMaintainer::EmitJoinPair(DeltaNode* n, const Tuple& lt,
   values.reserve(lt.num_values() + rt.num_values());
   values.insert(values.end(), lt.values().begin(), lt.values().end());
   values.insert(values.end(), rt.values().begin(), rt.values().end());
-  Tuple c(std::move(values), std::move(joined_rt));
-  ONGOINGDB_ASSIGN_OR_RETURN(OngoingBoolean b,
-                             n->predicate->EvalPredicate(n->schema, c));
-  IntervalSet restricted = c.rt().Intersect(b.st());
-  if (restricted.IsEmpty()) return Status::OK();
-  Tuple out(std::move(c.mutable_values()), std::move(restricted));
+  Tuple out(std::move(values), std::move(joined_rt));
+  if (n->predicate != nullptr) {
+    ONGOINGDB_ASSIGN_OR_RETURN(OngoingBoolean b,
+                               n->predicate->EvalPredicate(n->schema, out));
+    IntervalSet restricted = out.rt().Intersect(b.st());
+    if (restricted.IsEmpty()) return Status::OK();
+    out.set_rt(std::move(restricted));
+  }
   ONGOINGDB_RETURN_NOT_OK(charge->Add(ApproxTupleBytes(out)));
   n->delta.push_back(DeltaEntry{sign, std::move(out)});
   return Status::OK();
@@ -401,7 +471,7 @@ Status ViewDeltaMaintainer::EmitJoinPair(DeltaNode* n, const Tuple& lt,
 Status ViewDeltaMaintainer::ComputeDelta(DeltaNode* n, QueryContext* ctx,
                                          MemoryCharge* charge) {
   n->delta.clear();
-  n->net.clear();
+  n->net.Clear();
   if (ctx != nullptr) ONGOINGDB_RETURN_NOT_OK(ctx->Check());
   switch (n->kind) {
     case PlanKind::kScan: {
@@ -452,6 +522,57 @@ Status ViewDeltaMaintainer::ComputeDelta(DeltaNode* n, QueryContext* ctx,
     case PlanKind::kJoin: {
       ONGOINGDB_RETURN_NOT_OK(ComputeDelta(n->left.get(), ctx, charge));
       ONGOINGDB_RETURN_NOT_OK(ComputeDelta(n->right.get(), ctx, charge));
+      const std::vector<DeltaEntry>& dls = n->left->delta;
+      const std::vector<DeltaEntry>& drs = n->right->delta;
+      size_t pairs = 0;
+      auto emit = [&](const Tuple& lt, const Tuple& rt, int sign) -> Status {
+        if (ctx != nullptr && (++pairs & 0xFF) == 0) {
+          ONGOINGDB_RETURN_NOT_OK(ctx->Check());
+        }
+        return EmitJoinPair(n, lt, rt, sign, charge);
+      };
+      if (n->keyed()) {
+        const KeyTable& lk = n->left_cache.keys;
+        const KeyTable& rk = n->right_cache.keys;
+        auto left_at = [&](uint32_t i) -> const Tuple& {
+          return n->left_cache.rel.tuple(i);
+        };
+        auto right_at = [&](uint32_t i) -> const Tuple& {
+          return n->right_cache.rel.tuple(i);
+        };
+        // dL |x| R0 and L0 |x| dR probe the cached inputs' key tables.
+        for (const DeltaEntry& dl : dls) {
+          ONGOINGDB_RETURN_NOT_OK(ForEachKeyMatch(
+              rk.index, right_at, rk.columns, dl.tuple, lk.columns,
+              [&](uint32_t, const Tuple& rt) {
+                return emit(dl.tuple, rt, dl.sign);
+              }));
+        }
+        for (const DeltaEntry& dr : drs) {
+          ONGOINGDB_RETURN_NOT_OK(ForEachKeyMatch(
+              lk.index, left_at, lk.columns, dr.tuple, rk.columns,
+              [&](uint32_t, const Tuple& lt) {
+                return emit(lt, dr.tuple, dr.sign);
+              }));
+        }
+        // dL |x| dR probes a transient key table over dR.
+        if (!dls.empty() && !drs.empty()) {
+          ChainedHashIndex dr_keys;
+          dr_keys.Assign(drs.size(), [&](size_t i) {
+            return JoinKeyHash(drs[i].tuple, rk.columns);
+          });
+          for (const DeltaEntry& dl : dls) {
+            ONGOINGDB_RETURN_NOT_OK(ForEachKeyMatch(
+                dr_keys,
+                [&](uint32_t i) -> const Tuple& { return drs[i].tuple; },
+                rk.columns, dl.tuple, lk.columns,
+                [&](uint32_t i, const Tuple& rt) {
+                  return emit(dl.tuple, rt, dl.sign * drs[i].sign);
+                }));
+          }
+        }
+        return Status::OK();
+      }
       // Rebuild the owned index lazily over the (pre-delta) cache: a
       // failure here is benign — the terms fall back to nested loops.
       if (n->index_info.has_value() &&
@@ -468,46 +589,34 @@ Status ViewDeltaMaintainer::ComputeDelta(DeltaNode* n, QueryContext* ctx,
         }
       }
       const bool use_index = n->index.has_value() && !n->index_needs_rebuild;
-      size_t pairs = 0;
-      auto tick = [&]() -> Status {
-        if (ctx != nullptr && (++pairs & 0xFF) == 0) return ctx->Check();
-        return Status::OK();
-      };
       // dL |x| R0 (pre-state inner), via the owned index when possible.
       std::vector<size_t> candidates;
-      for (const DeltaEntry& dl : n->left->delta) {
+      for (const DeltaEntry& dl : dls) {
         if (use_index) {
           const Value& probe =
               dl.tuple.value(n->index_info->outer_column_index);
           n->index->CandidatesInto(n->index_info->op,
                                    IntervalBoundsOfValue(probe), &candidates);
           for (size_t ri : candidates) {
-            ONGOINGDB_RETURN_NOT_OK(tick());
-            ONGOINGDB_RETURN_NOT_OK(EmitJoinPair(
-                n, dl.tuple, n->right_cache.rel.tuple(ri), dl.sign, charge));
+            ONGOINGDB_RETURN_NOT_OK(
+                emit(dl.tuple, n->right_cache.rel.tuple(ri), dl.sign));
           }
         } else {
           for (const Tuple& rt : n->right_cache.rel.tuples()) {
-            ONGOINGDB_RETURN_NOT_OK(tick());
-            ONGOINGDB_RETURN_NOT_OK(
-                EmitJoinPair(n, dl.tuple, rt, dl.sign, charge));
+            ONGOINGDB_RETURN_NOT_OK(emit(dl.tuple, rt, dl.sign));
           }
         }
       }
       // L0 |x| dR (pre-state outer).
-      for (const DeltaEntry& dr : n->right->delta) {
+      for (const DeltaEntry& dr : drs) {
         for (const Tuple& lt : n->left_cache.rel.tuples()) {
-          ONGOINGDB_RETURN_NOT_OK(tick());
-          ONGOINGDB_RETURN_NOT_OK(
-              EmitJoinPair(n, lt, dr.tuple, dr.sign, charge));
+          ONGOINGDB_RETURN_NOT_OK(emit(lt, dr.tuple, dr.sign));
         }
       }
       // dL |x| dR (signs multiply).
-      for (const DeltaEntry& dl : n->left->delta) {
-        for (const DeltaEntry& dr : n->right->delta) {
-          ONGOINGDB_RETURN_NOT_OK(tick());
-          ONGOINGDB_RETURN_NOT_OK(
-              EmitJoinPair(n, dl.tuple, dr.tuple, dl.sign * dr.sign, charge));
+      for (const DeltaEntry& dl : dls) {
+        for (const DeltaEntry& dr : drs) {
+          ONGOINGDB_RETURN_NOT_OK(emit(dl.tuple, dr.tuple, dl.sign * dr.sign));
         }
       }
       return Status::OK();
@@ -522,21 +631,34 @@ void ViewDeltaMaintainer::BuildNets(DeltaNode* n) {
   if (n == nullptr) return;
   BuildNets(n->left.get());
   BuildNets(n->right.get());
-  n->net.clear();
+  NetSet& net = n->net;
+  net.Clear();
   for (const DeltaEntry& d : n->delta) {
-    NetDelta& nd = n->net[TupleKey(d.tuple)];
-    nd.net += d.sign;
-    if (nd.rep == nullptr) nd.rep = &d.tuple;
+    const size_t hash = TupleHash(d.tuple);
+    uint32_t id = net.index.Find(hash, [&](uint32_t i) {
+      return TupleEq(*net.entries[i].rep, d.tuple);
+    });
+    if (id == ChainedHashIndex::kEnd) {
+      id = static_cast<uint32_t>(net.entries.size());
+      net.entries.push_back(NetDelta{hash, 0, &d.tuple});
+      net.index.Append(hash);
+    }
+    net.entries[id].net += d.sign;
   }
 }
 
-bool ViewDeltaMaintainer::ValidateNet(const PositionsMap& positions,
-                                      const NetMap& net) {
-  for (const auto& [key, nd] : net) {
-    if (nd.net >= 0) continue;
-    auto it = positions.find(key);
-    const long long have =
-        it == positions.end() ? 0 : static_cast<long long>(it->second.size());
+bool ViewDeltaMaintainer::ValidateNet(const OngoingRelation& rel,
+                                      const ChainedHashIndex& positions,
+                                      const NetSet& net) {
+  for (const NetDelta& nd : net.entries) {
+    long long have = 0;
+    for (uint32_t i = positions.First(nd.hash);
+         i != ChainedHashIndex::kEnd && have + nd.net < 0;
+         i = positions.Next(i)) {
+      if (positions.HashAt(i) == nd.hash && TupleEq(rel.tuple(i), *nd.rep)) {
+        ++have;
+      }
+    }
     if (have + nd.net < 0) return false;
   }
   return true;
@@ -548,8 +670,12 @@ bool ViewDeltaMaintainer::ValidateTree(const DeltaNode* n) {
     return false;
   }
   if (n->kind == PlanKind::kJoin) {
-    if (!ValidateNet(n->left_cache.positions, n->left->net)) return false;
-    if (!ValidateNet(n->right_cache.positions, n->right->net)) return false;
+    if (!ValidateNet(n->left_cache.rel, n->left_cache.positions,
+                     n->left->net) ||
+        !ValidateNet(n->right_cache.rel, n->right_cache.positions,
+                     n->right->net)) {
+      return false;
+    }
   }
   return true;
 }
@@ -557,9 +683,10 @@ bool ViewDeltaMaintainer::ValidateTree(const DeltaNode* n) {
 // --- Phase C: commit --------------------------------------------------------
 
 void ViewDeltaMaintainer::CommitInto(OngoingRelation* rel,
-                                     PositionsMap* positions,
-                                     const NetMap& net,
+                                     ChainedHashIndex* positions,
+                                     KeyTable* keys, const NetSet& net,
                                      DeltaNode* index_owner) {
+  if (keys != nullptr && keys->columns.empty()) keys = nullptr;
   IntervalIndex* index = nullptr;
   if (index_owner != nullptr && index_owner->index.has_value() &&
       !index_owner->index_needs_rebuild) {
@@ -567,13 +694,14 @@ void ViewDeltaMaintainer::CommitInto(OngoingRelation* rel,
   }
   size_t applied = 0;
   // Removals first so inserted tuples are never relocated by a swap.
-  for (const auto& [key, nd] : net) {
-    if (nd.net >= 0) continue;
-    auto it = positions->find(key);
-    for (long long k = -nd.net; k > 0 && it != positions->end(); --k) {
-      std::vector<size_t>& vec = it->second;
-      const size_t pos = vec.back();
-      vec.pop_back();
+  // Every table follows the relation's swap-remove, so positions stay
+  // the ids of the tables.
+  for (const NetDelta& nd : net.entries) {
+    for (long long k = -nd.net; k > 0; --k) {
+      const uint32_t pos = positions->Find(nd.hash, [&](uint32_t i) {
+        return TupleEq(rel->tuple(i), *nd.rep);
+      });
+      if (pos == ChainedHashIndex::kEnd) break;  // validated in Phase B
       const size_t last = rel->size() - 1;
       if (index != nullptr) {
         const size_t moved_from = pos == last ? IntervalIndex::kNoMove : last;
@@ -583,31 +711,20 @@ void ViewDeltaMaintainer::CommitInto(OngoingRelation* rel,
         }
       }
       rel->SwapRemove(pos);
+      positions->SwapRemove(pos);
+      if (keys != nullptr) keys->index.SwapRemove(pos);
       ++applied;
-      if (pos != last) {
-        // The former last tuple now lives at `pos`; fix its entry. Every
-        // live tuple is keyed, so find (not operator[]) keeps the map's
-        // bucket count stable and `it` valid.
-        auto moved = positions->find(TupleKey(rel->tuple(pos)));
-        if (moved != positions->end()) {
-          auto mit = std::find(moved->second.begin(), moved->second.end(), last);
-          if (mit != moved->second.end()) *mit = pos;
-        }
-      }
-      if (vec.empty()) {
-        positions->erase(it);
-        it = positions->end();
-      }
     }
   }
-  for (const auto& [key, nd] : net) {
-    if (nd.net <= 0) continue;
+  for (const NetDelta& nd : net.entries) {
     for (long long k = nd.net; k > 0; --k) {
-      const size_t before = rel->size();
+      const size_t idx = rel->size();
       rel->AppendUnchecked(Tuple(*nd.rep));
-      if (rel->size() == before) continue;  // empty-RT drop (cannot happen)
-      const size_t idx = rel->size() - 1;
-      (*positions)[key].push_back(idx);
+      if (rel->size() == idx) continue;  // empty-RT drop (cannot happen)
+      positions->Append(nd.hash);
+      if (keys != nullptr) {
+        keys->index.Append(JoinKeyHash(rel->tuple(idx), keys->columns));
+      }
       ++applied;
       if (index != nullptr &&
           !index->ApplyInsert(rel->tuple(idx), idx).ok()) {
@@ -639,9 +756,10 @@ void ViewDeltaMaintainer::CommitTree(DeltaNode* n) {
     case PlanKind::kProject:
       return;
     case PlanKind::kJoin:
-      CommitInto(&n->left_cache.rel, &n->left_cache.positions, n->left->net,
-                 nullptr);
-      CommitInto(&n->right_cache.rel, &n->right_cache.positions, n->right->net,
+      CommitInto(&n->left_cache.rel, &n->left_cache.positions,
+                 &n->left_cache.keys, n->left->net, nullptr);
+      CommitInto(&n->right_cache.rel, &n->right_cache.positions,
+                 &n->right_cache.keys, n->right->net,
                  n->index_info.has_value() ? n : nullptr);
       return;
   }
@@ -652,7 +770,7 @@ void ViewDeltaMaintainer::ClearDeltas(DeltaNode* n) {
   ClearDeltas(n->left.get());
   ClearDeltas(n->right.get());
   n->delta.clear();
-  n->net.clear();
+  n->net.Clear();
 }
 
 // --- apply ------------------------------------------------------------------
@@ -679,7 +797,7 @@ Result<bool> ViewDeltaMaintainer::ApplyPending(OngoingRelation* result,
   // anchored state drifted; fall back to a recompute (benign).
   BuildNets(root_.get());
   if (!ValidateTree(root_.get()) ||
-      !ValidateNet(root_positions_, root_->net)) {
+      !ValidateNet(*result, root_positions_, root_->net)) {
     ClearDeltas(root_.get());
     return false;
   }
@@ -687,7 +805,7 @@ Result<bool> ViewDeltaMaintainer::ApplyPending(OngoingRelation* result,
   // Phase C: commit — infallible by construction (validated removals,
   // appends, index patches that degrade to a rebuild mark on failure).
   CommitTree(root_.get());
-  CommitInto(result, &root_positions_, root_->net, nullptr);
+  CommitInto(result, &root_positions_, nullptr, root_->net, nullptr);
   ClearDeltas(root_.get());
   return true;
 }

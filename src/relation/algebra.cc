@@ -1,6 +1,6 @@
 #include "relation/algebra.h"
 
-#include <map>
+#include "util/chained_hash_index.h"
 
 namespace ongoingdb {
 
@@ -106,17 +106,33 @@ OngoingRelation ThetaJoin(const OngoingRelation& r, const OngoingRelation& s,
 
 namespace {
 
-// Structural key of a tuple's attribute values, for merging in Union.
-std::string StructuralKey(const Tuple& t) {
-  std::string k;
-  for (const Value& v : t.values()) {
-    k += ValueTypeToString(v.type());
-    k += ':';
-    k += v.ToString();
-    k += '|';
+// Merges tuples with equal attribute values (TupleValuesHash /
+// TupleValuesEq) by uniting their RTs, in first-seen order.
+class RtMerger {
+ public:
+  void Add(const Tuple& t) {
+    const size_t hash = TupleValuesHash(t);
+    const uint32_t id = index_.Find(
+        hash, [&](uint32_t i) { return TupleValuesEq(merged_[i], t); });
+    if (id == ChainedHashIndex::kEnd) {
+      merged_.push_back(t);
+      index_.Append(hash);
+    } else {
+      merged_[id].set_rt(merged_[id].rt().Union(t.rt()));
+    }
   }
-  return k;
-}
+
+  OngoingRelation Finish(const Schema& schema) {
+    OngoingRelation result(schema);
+    result.Reserve(merged_.size());
+    for (Tuple& t : merged_) result.AppendUnchecked(std::move(t));
+    return result;
+  }
+
+ private:
+  std::vector<Tuple> merged_;
+  ChainedHashIndex index_;
+};
 
 }  // namespace
 
@@ -127,43 +143,16 @@ Result<OngoingRelation> Union(const OngoingRelation& r,
                                   r.schema().ToString() + " vs " +
                                   s.schema().ToString());
   }
-  OngoingRelation result(r.schema());
-  std::map<std::string, size_t> index;
-  std::vector<Tuple> merged;
-  auto add = [&index, &merged](const Tuple& t) {
-    std::string key = StructuralKey(t);
-    auto it = index.find(key);
-    if (it == index.end()) {
-      index.emplace(std::move(key), merged.size());
-      merged.push_back(t);
-    } else {
-      merged[it->second].set_rt(merged[it->second].rt().Union(t.rt()));
-    }
-  };
-  for (const Tuple& t : r.tuples()) add(t);
-  for (const Tuple& t : s.tuples()) add(t);
-  result.Reserve(merged.size());
-  for (Tuple& t : merged) result.AppendUnchecked(std::move(t));
-  return result;
+  RtMerger merger;
+  for (const Tuple& t : r.tuples()) merger.Add(t);
+  for (const Tuple& t : s.tuples()) merger.Add(t);
+  return merger.Finish(r.schema());
 }
 
 OngoingRelation CoalesceRt(const OngoingRelation& r) {
-  OngoingRelation result(r.schema());
-  std::map<std::string, size_t> index;
-  std::vector<Tuple> merged;
-  for (const Tuple& t : r.tuples()) {
-    std::string key = StructuralKey(t);
-    auto it = index.find(key);
-    if (it == index.end()) {
-      index.emplace(std::move(key), merged.size());
-      merged.push_back(t);
-    } else {
-      merged[it->second].set_rt(merged[it->second].rt().Union(t.rt()));
-    }
-  }
-  result.Reserve(merged.size());
-  for (Tuple& t : merged) result.AppendUnchecked(std::move(t));
-  return result;
+  RtMerger merger;
+  for (const Tuple& t : r.tuples()) merger.Add(t);
+  return merger.Finish(r.schema());
 }
 
 Result<OngoingRelation> Difference(const OngoingRelation& r,

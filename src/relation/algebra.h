@@ -61,9 +61,9 @@ OngoingRelation ThetaJoin(const OngoingRelation& r, const OngoingRelation& s,
                           const std::string& right_prefix = "R");
 
 /// Union R u S (Theorem 2): tuples of both inputs; tuples with
-/// structurally equal attribute values are merged by taking the union of
-/// their reference times (sound because structurally equal ongoing values
-/// instantiate identically). Fails unless the schemas are
+/// structurally equal attribute values (TupleValuesEq) are merged by
+/// taking the union of their reference times (sound because structurally
+/// equal ongoing values instantiate identically). Fails unless the schemas are
 /// type-compatible.
 Result<OngoingRelation> Union(const OngoingRelation& r,
                               const OngoingRelation& s);

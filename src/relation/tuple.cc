@@ -1,5 +1,7 @@
 #include "relation/tuple.h"
 
+#include <functional>
+
 namespace ongoingdb {
 
 std::vector<Value> Tuple::InstantiateValues(TimePoint rt) const {
@@ -21,6 +23,33 @@ std::string Tuple::ToString() const {
   s += rt_.ToString();
   s += ")";
   return s;
+}
+
+size_t TupleValuesHash(const Tuple& t) {
+  size_t h = 0xcbf29ce484222325ULL;
+  for (const Value& v : t.values()) h = HashCombine(h, ValueHash{}(v));
+  return h;
+}
+
+bool TupleValuesEq(const Tuple& a, const Tuple& b) {
+  if (a.num_values() != b.num_values()) return false;
+  for (size_t i = 0; i < a.num_values(); ++i) {
+    if (!ValueEq{}(a.value(i), b.value(i))) return false;
+  }
+  return true;
+}
+
+size_t TupleHash(const Tuple& t) {
+  size_t h = TupleValuesHash(t);
+  for (const FixedInterval& f : t.rt().intervals()) {
+    h = HashCombine(h, std::hash<int64_t>{}(f.start));
+    h = HashCombine(h, std::hash<int64_t>{}(f.end));
+  }
+  return h;
+}
+
+bool TupleEq(const Tuple& a, const Tuple& b) {
+  return a.rt() == b.rt() && TupleValuesEq(a, b);
 }
 
 }  // namespace ongoingdb

@@ -65,4 +65,19 @@ class Tuple {
   IntervalSet rt_;
 };
 
+/// Typed hash of a tuple's attribute values: ValueHash per value, no
+/// string formatting. Consistent with TupleValuesEq.
+size_t TupleValuesHash(const Tuple& t);
+
+/// Attribute-wise ValueEq (so NaN equals NaN, as in the join keys).
+bool TupleValuesEq(const Tuple& a, const Tuple& b);
+
+/// TupleValuesHash combined with the RT's intervals. Consistent with
+/// TupleEq.
+size_t TupleHash(const Tuple& t);
+
+/// TupleValuesEq plus RT ==: the identity of a tuple in a multiset of
+/// ongoing tuples (view maintenance nets and removes by it).
+bool TupleEq(const Tuple& a, const Tuple& b);
+
 }  // namespace ongoingdb

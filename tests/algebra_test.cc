@@ -131,6 +131,24 @@ TEST(AlgebraTest, UnionMergesStructurallyEqualTuples) {
   EXPECT_EQ(u->tuple(0).rt(), (IntervalSet{{0, 20}}));
 }
 
+// Regression: Union used to merge by a rendering of the values, under
+// which doubles that differ past the 6th decimal looked equal.
+TEST(AlgebraTest, UnionKeepsDoublesDifferingPastSixDecimals) {
+  OngoingRelation r(Schema({{"X", ValueType::kDouble}}));
+  OngoingRelation s(Schema({{"X", ValueType::kDouble}}));
+  ASSERT_TRUE(r.InsertWithRt({Value::Double(0.1234561)}, IntervalSet{{0, 10}})
+                  .ok());
+  ASSERT_TRUE(s.InsertWithRt({Value::Double(0.1234562)}, IntervalSet{{5, 20}})
+                  .ok());
+  auto u = Union(r, s);
+  ASSERT_TRUE(u.ok());
+  ASSERT_EQ(u->size(), 2u);
+  EXPECT_EQ(u->tuple(0).value(0).AsDouble(), 0.1234561);
+  EXPECT_EQ(u->tuple(0).rt(), (IntervalSet{{0, 10}}));
+  EXPECT_EQ(u->tuple(1).value(0).AsDouble(), 0.1234562);
+  EXPECT_EQ(u->tuple(1).rt(), (IntervalSet{{5, 20}}));
+}
+
 TEST(AlgebraTest, UnionRejectsIncompatibleSchemas) {
   OngoingRelation r(Schema({{"A", ValueType::kInt64}}));
   OngoingRelation s(Schema({{"A", ValueType::kString}}));

@@ -10,35 +10,14 @@
 #include <vector>
 
 #include "query/join.h"
+#include "testing/key_collisions.h"
 #include "util/rng.h"
 
 namespace ongoingdb {
 namespace {
 
-// --- mirror of the typed key hash ------------------------------------------
-// The collision construction below inverts the hash-combine chain, which
-// requires knowing the combine formula. The mirror is asserted against
-// JoinKeyHash first, so any drift in the implementation fails
-// loudly here instead of silently weakening the collision test.
-
-constexpr uint64_t kFnvSeed = 0xcbf29ce484222325ULL;
-constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-
-uint64_t Combine(uint64_t seed, uint64_t h) {
-  return seed ^ (h + kGolden + (seed << 6) + (seed >> 2));
-}
-
-uint64_t MirrorInt64ValueHash(int64_t v) {
-  uint64_t tag_seed = std::hash<int64_t>{}(
-      static_cast<int64_t>(ValueType::kInt64));
-  return Combine(tag_seed, std::hash<int64_t>{}(v));
-}
-
-uint64_t MirrorKeyHash(const std::vector<int64_t>& key) {
-  uint64_t h = kFnvSeed;
-  for (int64_t v : key) h = Combine(h, MirrorInt64ValueHash(v));
-  return h;
-}
+using key_collisions::MirrorKeyHash;
+using key_collisions::SolveSecondColumn;
 
 Tuple IntKeyTuple(const std::vector<int64_t>& key) {
   std::vector<Value> values;
@@ -53,25 +32,10 @@ TEST(JoinKeyHashTest, MirrorMatchesImplementation) {
         {kMinInfinity, kMaxInfinity}}) {
     EXPECT_EQ(JoinKeyHash(IntKeyTuple(key), indices),
               MirrorKeyHash(key))
-        << "the key-hash mirror in this test has drifted from the "
-           "implementation; update it together with ValueHash/KeyViewHash";
+        << "the key-hash mirror (tests/testing/key_collisions.h) has "
+           "drifted from the implementation; update it together with "
+           "ValueHash/JoinKeyHash";
   }
-}
-
-// Solves the combine chain backwards for the second key column: returns d
-// such that the two-column key (c, d) hashes to `target`. Requires
-// std::hash<int64_t> to be invertible (it is the identity cast on the
-// standard libraries we build against; the caller checks).
-int64_t SolveSecondColumn(int64_t c, uint64_t target) {
-  uint64_t h1 = Combine(kFnvSeed, MirrorInt64ValueHash(c));
-  // Combine(h1, vh_d) == target  =>  vh_d:
-  uint64_t vh_d = (h1 ^ target) - kGolden - (h1 << 6) - (h1 >> 2);
-  // vh_d == Combine(tag_seed, std::hash(d))  =>  std::hash(d):
-  uint64_t tag_seed = std::hash<int64_t>{}(
-      static_cast<int64_t>(ValueType::kInt64));
-  uint64_t hash_d = (tag_seed ^ vh_d) - kGolden - (tag_seed << 6) -
-                    (tag_seed >> 2);
-  return static_cast<int64_t>(hash_d);
 }
 
 std::multiset<std::string> Fingerprint(const OngoingRelation& r) {
@@ -81,7 +45,7 @@ std::multiset<std::string> Fingerprint(const OngoingRelation& r) {
 }
 
 TEST(JoinKeyHashTest, CollidingMultiColumnKeysStillJoinCorrectly) {
-  if (std::hash<int64_t>{}(int64_t{123456789}) != 123456789ULL) {
+  if (!key_collisions::Available()) {
     GTEST_SKIP() << "std::hash<int64_t> is not invertible on this platform; "
                     "collision construction unavailable";
   }
@@ -127,7 +91,7 @@ TEST(JoinKeyHashTest, CollidingMultiColumnKeysStillJoinCorrectly) {
 }
 
 TEST(JoinKeyHashTest, ManyCollidingKeysAgainstNestedLoop) {
-  if (std::hash<int64_t>{}(int64_t{123456789}) != 123456789ULL) {
+  if (!key_collisions::Available()) {
     GTEST_SKIP() << "std::hash<int64_t> is not invertible on this platform";
   }
   // A whole family of distinct two-column keys sharing one hash bucket

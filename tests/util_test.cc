@@ -1,9 +1,10 @@
 // Tests of the util layer: Status/Result error handling, RNG, timing,
-// and table printing.
+// table printing, and the chained hash index.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "util/chained_hash_index.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -12,6 +13,49 @@
 
 namespace ongoingdb {
 namespace {
+
+// Random appends and swap-removes against a plain vector of hashes, in
+// a hash space small enough that chains share buckets and hashes: every
+// id must stay reachable from its hash's bucket exactly once.
+TEST(ChainedHashIndexTest, FollowsAppendAndSwapRemove) {
+  Rng rng(5);
+  ChainedHashIndex index;
+  std::vector<size_t> model;
+  auto check = [&] {
+    ASSERT_EQ(index.size(), model.size());
+    std::vector<int> seen(model.size(), 0);
+    for (size_t id = 0; id < model.size(); ++id) {
+      ASSERT_EQ(index.HashAt(static_cast<uint32_t>(id)), model[id]);
+      for (uint32_t e = index.First(model[id]); e != ChainedHashIndex::kEnd;
+           e = index.Next(e)) {
+        if (e == id) ++seen[id];
+      }
+    }
+    for (size_t id = 0; id < model.size(); ++id) EXPECT_EQ(seen[id], 1) << id;
+  };
+  index.Assign(40, [](size_t i) { return i % 7; });
+  for (size_t i = 0; i < 40; ++i) model.push_back(i % 7);
+  check();
+  for (int step = 0; step < 600; ++step) {
+    if (model.empty() || rng.Bernoulli(0.55)) {
+      const size_t hash = static_cast<size_t>(rng.Uniform(0, 40));
+      index.Append(hash);
+      model.push_back(hash);
+    } else {
+      const size_t id = static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(model.size()) - 1));
+      index.SwapRemove(static_cast<uint32_t>(id));
+      model[id] = model.back();
+      model.pop_back();
+    }
+    if (step % 50 == 0) check();
+  }
+  check();
+  const size_t probe = model.front();
+  EXPECT_EQ(index.Find(probe, [&](uint32_t id) { return id == 0; }), 0u);
+  EXPECT_EQ(index.Find(probe, [](uint32_t) { return false; }),
+            ChainedHashIndex::kEnd);
+}
 
 TEST(StatusTest, OkState) {
   Status st;

@@ -7,10 +7,14 @@
 //  * the Torp modifications log precise close/insert deltas that replay
 //    to the exact post-state;
 //  * deterministic refresh-mode contracts: kNoop with nothing logged,
-//    kDelta for small batches through filter/project/join plans (the
-//    join probing the maintainer-owned interval index), kRecompute when
-//    the batch is large, the log was trimmed, or the log was detached
-//    by a wholesale replacement;
+//    kDelta for small batches through filter/project/join plans (a
+//    temporal join probing the maintainer-owned interval index, an
+//    equi-join probing its key tables from either side), kRecompute
+//    when the batch passes the pending cap, the log was trimmed, or the
+//    log was detached by a wholesale replacement;
+//  * typed multiset identity: tuples whose string renderings alias
+//    (", " inside strings, doubles past the 6th decimal) stay distinct
+//    under delta removal;
 //  * Refresh under a changed QueryContext rebinds the cached tree
 //    instead of recompiling — the warm index access path survives (the
 //    index.build failpoint proves no rebuild happens);
@@ -19,7 +23,9 @@
 //    fingerprint-equal to the reference evaluator, fresh serial and
 //    forced-parallel executions, and instantiation at random reference
 //    times (shared harness: tests/testing/plan_fuzz.h; replay failures
-//    with ONGOINGDB_TEST_SEED=<seed>).
+//    with ONGOINGDB_TEST_SEED=<seed>) — plus a standalone maintainer
+//    driven through its public API every round, independent of the
+//    cost gate, on random and equi-key plans and on colliding keys.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -27,9 +33,11 @@
 #include <string>
 #include <vector>
 
+#include "query/join.h"
 #include "query/materialized_view.h"
 #include "query/view_maintenance.h"
 #include "relation/modifications.h"
+#include "testing/key_collisions.h"
 #include "testing/plan_fuzz.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
@@ -50,6 +58,20 @@ using plan_fuzz::StringPool;
 
 Tuple MakeRow(int64_t id) {
   return Tuple({Value::Int64(id)});
+}
+
+// Multiset equality under the typed tuple identity (TupleEq). Unlike the
+// string Fingerprint it tells apart tuples whose renderings alias.
+bool SameTuples(const OngoingRelation& a, const OngoingRelation& b) {
+  if (a.size() != b.size()) return false;
+  std::vector<bool> used(b.size(), false);
+  for (const Tuple& t : a.tuples()) {
+    size_t j = 0;
+    while (j < b.size() && (used[j] || !TupleEq(t, b.tuple(j)))) ++j;
+    if (j == b.size()) return false;
+    used[j] = true;
+  }
+  return true;
 }
 
 // --- ModificationLog unit tests ---------------------------------------------
@@ -156,12 +178,13 @@ TEST(ModificationLogTest, TemporalModificationsReplayToPostState) {
   r.EnableModificationLog();
   const uint64_t since = r.modification_log()->next_seq();
 
-  ASSERT_TRUE(TemporalInsert(&r,
-                             {Value::Int64(100), Value::Int64(2),
-                              Value::String(StringPool()[0]),
-                              Value::Ongoing(OngoingInterval::SinceUntilNow(0))},
-                             3, 40)
-                  .ok());
+  ASSERT_TRUE(
+      TemporalInsert(&r,
+                     {Value::Int64(100), Value::Int64(2),
+                      Value::String(StringPool()[0]),
+                      Value::Ongoing(OngoingInterval::SinceUntilNow(0))},
+                     3, 40)
+          .ok());
   auto deleted = TemporalDelete(&r, 3, 55, [](const Tuple& t) {
     return t.value(0).AsInt64() < 8;
   });
@@ -494,6 +517,149 @@ TEST_F(ViewMaintenanceTest, RefreshUnderNewContextKeepsTheWarmIndex) {
   EXPECT_EQ(Fingerprint(view->ongoing_result()), Fingerprint(*reference));
 }
 
+// Regression: the multiset keys of delta maintenance used to be tuple
+// renderings, under which two distinct tuples could share a key — and a
+// delta removal delete the wrong one. Each case holds such a pair (plus
+// filler rows so the close stays under the pending cap), closes the
+// first-inserted tuple of the pair through an equi-join view, and checks
+// the delta-refreshed view typed-equal to a recompute and the reference.
+void ExpectAliasedPairSurvivesClose(const std::vector<Value>& first,
+                                    const std::vector<Value>& second,
+                                    const std::vector<Value>& filler) {
+  std::vector<Attribute> attrs = {{"K", ValueType::kInt64}};
+  for (size_t i = 0; i < first.size(); ++i) {
+    attrs.push_back({"A" + std::to_string(i), first[i].type()});
+  }
+  attrs.push_back({"VT", ValueType::kOngoingInterval});
+  const size_t vt = attrs.size() - 1;
+  OngoingRelation r((Schema(attrs)));
+  OngoingRelation s(Schema({{"SK", ValueType::kInt64},
+                            {"SVT", ValueType::kOngoingInterval}}));
+  auto row = [](int64_t k, const std::vector<Value>& values) {
+    std::vector<Value> out = {Value::Int64(k)};
+    out.insert(out.end(), values.begin(), values.end());
+    out.push_back(Value::Ongoing(OngoingInterval::SinceUntilNow(0)));
+    return out;
+  };
+  ASSERT_TRUE(r.Insert(row(0, first)).ok());
+  ASSERT_TRUE(r.Insert(row(0, second)).ok());
+  for (int64_t k = 1; k <= 20; ++k) ASSERT_TRUE(r.Insert(row(k, filler)).ok());
+  for (int64_t k = 0; k <= 20; ++k) {
+    ASSERT_TRUE(
+        s.Insert({Value::Int64(k),
+                  Value::Ongoing(OngoingInterval::SinceUntilNow(0))})
+            .ok());
+  }
+  r.EnableModificationLog();
+  s.EnableModificationLog();
+  ASSERT_EQ(first[0].ToString() + ", " + first[1].ToString(),
+            second[0].ToString() + ", " + second[1].ToString())
+      << "the pair must render alike for the regression to bite";
+  PlanPtr plan = Join(Scan(&r, "R"), Scan(&s, "S"), Eq(Col("K"), Col("SK")),
+                      "R", "S");
+  auto view = MaterializedView::Create(plan);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+
+  auto closed = TemporalDelete(&r, vt, 50, [&](const Tuple& t) {
+    return TupleValuesEq(t, Tuple(row(0, first)));
+  });
+  ASSERT_TRUE(closed.ok());
+  ASSERT_EQ(*closed, 1u);
+  ASSERT_TRUE(view->Refresh().ok());
+  EXPECT_EQ(view->last_refresh_mode(), RefreshMode::kDelta);
+  const OngoingRelation maintained = view->ongoing_result();
+
+  auto reference = ReferenceExecute(plan);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_TRUE(SameTuples(maintained, *reference));
+  ASSERT_TRUE(view->RefreshFull().ok());
+  EXPECT_TRUE(SameTuples(maintained, view->ongoing_result()));
+}
+
+TEST_F(ViewMaintenanceTest, StringsDifferingOnlyInCommaPlacementStayDistinct) {
+  ExpectAliasedPairSurvivesClose(
+      {Value::String("a, b"), Value::String("c")},
+      {Value::String("a"), Value::String("b, c")},
+      {Value::String("x"), Value::String("y")});
+}
+
+TEST_F(ViewMaintenanceTest, DoublesDifferingPastSixDecimalsStayDistinct) {
+  ExpectAliasedPairSurvivesClose(
+      {Value::Double(0.1234561), Value::Double(1.0)},
+      {Value::Double(0.1234562), Value::Double(1.0)},
+      {Value::Double(2.0), Value::Double(3.0)});
+}
+
+// Cost gate: base relations with 50 join keys over 200 rows a side.
+class ViewCostGateTest : public ViewMaintenanceTest {
+ protected:
+  void SetUp() override {
+    ViewMaintenanceTest::SetUp();
+    Rng rng(12);
+    left_ = MakeKeyed(rng, "L_");
+    right_ = MakeKeyed(rng, "R_");
+    plan_ = Join(Scan(&left_, "L"), Scan(&right_, "R"),
+                 And(Eq(Col("L_K"), Col("R_K")),
+                     OverlapsExpr(Col("L_VT"), Col("R_VT"))),
+                 "L", "R");
+  }
+
+  static OngoingRelation MakeKeyed(Rng& rng, const std::string& prefix) {
+    OngoingRelation r(Schema({{prefix + "ID", ValueType::kInt64},
+                              {prefix + "K", ValueType::kInt64},
+                              {prefix + "S", ValueType::kString},
+                              {prefix + "VT", ValueType::kOngoingInterval}}));
+    for (int64_t i = 0; i < kRows; ++i) {
+      const TimePoint start = rng.Uniform(0, 100);
+      EXPECT_TRUE(r.Insert({Value::Int64(i), Value::Int64(i % 50),
+                            Value::String(StringPool()[0]),
+                            Value::Ongoing(OngoingInterval::Fixed(
+                                start, start + rng.Uniform(1, 40)))})
+                      .ok());
+    }
+    r.EnableModificationLog();
+    return r;
+  }
+
+  // Inserts `count` rows [tc, now) into `r` with fresh ids.
+  void InsertRows(OngoingRelation* r, int64_t count) {
+    for (int64_t i = 0; i < count; ++i) {
+      ASSERT_TRUE(TemporalInsert(r, Row(next_id_, next_id_ % 50,
+                                        StringPool()[1]),
+                                 3, 60)
+                      .ok());
+      ++next_id_;
+    }
+  }
+
+  static constexpr int64_t kRows = 200;
+  OngoingRelation left_, right_;
+  PlanPtr plan_;
+  int64_t next_id_ = 1000;
+};
+
+// A keyed L0 |x| dR term probes the outer's key table, so a small write
+// on the inner side is costed at its matches, not at |L0| per row.
+TEST_F(ViewCostGateTest, SmallInnerSideWriteRefreshesByDelta) {
+  auto view = MaterializedView::Create(plan_);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  InsertRows(&right_, 10);
+  ASSERT_TRUE(view->Refresh().ok());
+  EXPECT_EQ(view->last_refresh_mode(), RefreshMode::kDelta);
+  ExpectMatchesReference(*view, plan_);
+}
+
+TEST_F(ViewCostGateTest, BatchAboveThePendingCapRecomputes) {
+  auto view = MaterializedView::Create(plan_);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  // 150 inserts log 150 entries; the cap is 25 % of the 550 base rows
+  // the bases then hold.
+  InsertRows(&right_, 150);
+  ASSERT_TRUE(view->Refresh().ok());
+  EXPECT_EQ(view->last_refresh_mode(), RefreshMode::kRecompute);
+  ExpectMatchesReference(*view, plan_);
+}
+
 // --- randomized delta-vs-recompute equivalence ------------------------------
 
 class ViewMaintenanceFuzzTest : public ::testing::TestWithParam<uint64_t> {
@@ -502,8 +668,48 @@ class ViewMaintenanceFuzzTest : public ::testing::TestWithParam<uint64_t> {
   void TearDown() override { Failpoint::DisarmAll(); }
 };
 
+// Applies one random Torp modification (insert, close or update) to a
+// MakeBase-shaped relation; vt_index 3 is its VT column.
+void ModifyRandomly(Rng& rng, OngoingRelation* r, int64_t* next_id) {
+  const TimePoint tc = rng.Uniform(0, 120);
+  const int64_t k = rng.Uniform(0, 4);
+  switch (rng.Uniform(0, 2)) {
+    case 0: {
+      ASSERT_TRUE(
+          TemporalInsert(
+              r,
+              {Value::Int64((*next_id)++), Value::Int64(k),
+               Value::String(StringPool()[static_cast<size_t>(
+                   rng.Uniform(0, 3))]),
+               Value::Ongoing(OngoingInterval::SinceUntilNow(0))},
+              3, tc)
+              .ok());
+      break;
+    }
+    case 1: {
+      auto deleted = TemporalDelete(r, 3, tc, [k](const Tuple& t) {
+        return t.value(1).AsInt64() == k;
+      });
+      ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+      break;
+    }
+    default: {
+      auto updated = TemporalUpdate(
+          r, 3, tc, [k](const Tuple& t) { return t.value(1).AsInt64() == k; },
+          [&rng](const Tuple& t) {
+            std::vector<Value> values = t.values();
+            values[2] = Value::String(
+                StringPool()[static_cast<size_t>(rng.Uniform(0, 3))]);
+            return values;
+          });
+      ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+      break;
+    }
+  }
+}
+
 // Applies a random Torp modification batch to the fixture's base
-// relations. vt_index 3 is MakeBase's VT column.
+// relations.
 void ApplyRandomModifications(Rng& rng, PlanFixture* fx, int64_t* next_id) {
   const size_t count = static_cast<size_t>(rng.Uniform(1, 3));
   for (size_t i = 0; i < count; ++i) {
@@ -511,41 +717,8 @@ void ApplyRandomModifications(Rng& rng, PlanFixture* fx, int64_t* next_id) {
         fx->relations[static_cast<size_t>(rng.Uniform(
                           0, static_cast<int64_t>(fx->relations.size()) - 1))]
             .get();
-    const TimePoint tc = rng.Uniform(0, 120);
-    const int64_t k = rng.Uniform(0, 4);
-    switch (rng.Uniform(0, 2)) {
-      case 0: {
-        ASSERT_TRUE(
-            TemporalInsert(
-                r,
-                {Value::Int64((*next_id)++), Value::Int64(k),
-                 Value::String(StringPool()[static_cast<size_t>(
-                     rng.Uniform(0, 3))]),
-                 Value::Ongoing(OngoingInterval::SinceUntilNow(0))},
-                3, tc)
-                .ok());
-        break;
-      }
-      case 1: {
-        auto deleted = TemporalDelete(r, 3, tc, [k](const Tuple& t) {
-          return t.value(1).AsInt64() == k;
-        });
-        ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
-        break;
-      }
-      default: {
-        auto updated = TemporalUpdate(
-            r, 3, tc, [k](const Tuple& t) { return t.value(1).AsInt64() == k; },
-            [&rng](const Tuple& t) {
-              std::vector<Value> values = t.values();
-              values[2] = Value::String(
-                  StringPool()[static_cast<size_t>(rng.Uniform(0, 3))]);
-              return values;
-            });
-        ASSERT_TRUE(updated.ok()) << updated.status().ToString();
-        break;
-      }
-    }
+    ModifyRandomly(rng, r, next_id);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
@@ -600,6 +773,140 @@ TEST_P(ViewMaintenanceFuzzTest, DeltaRefreshEqualsRecomputeEverywhere) {
   ASSERT_TRUE(view->RefreshFull().ok());
   EXPECT_EQ(view->last_refresh_mode(), RefreshMode::kRecompute);
   EXPECT_EQ(Fingerprint(view->ongoing_result()), maintained);
+}
+
+// An equi-join of two fresh MakeBase relations; the key predicate is one
+// int key alone (no residual), with an overlaps residual, or an int and
+// a string key together.
+PlanPtr RandomEquiJoinPlan(Rng& rng, PlanFixture* fx) {
+  for (const char* prefix : {"L_", "R_"}) {
+    fx->relations.push_back(std::make_unique<OngoingRelation>(
+        MakeBase(rng, prefix, static_cast<size_t>(rng.Uniform(8, 20)))));
+  }
+  ExprPtr key = Eq(Col("L_K"), Col("R_K"));
+  ExprPtr predicate;
+  switch (rng.Uniform(0, 2)) {
+    case 0:
+      predicate = key;
+      break;
+    case 1:
+      predicate = And(key, OverlapsExpr(Col("L_VT"), Col("R_VT")));
+      break;
+    default:
+      predicate = And(key, Eq(Col("L_S"), Col("R_S")));
+      break;
+  }
+  return Join(Scan(fx->relations[0].get(), "L"),
+              Scan(fx->relations[1].get(), "R"), predicate, "L", "R");
+}
+
+// The delta path driven directly, whatever the cost gate would pick:
+// TryCreate, Reseed on a fresh evaluation, then ApplyPending after every
+// round of writes — to every base relation, so joins see dL, dR and the
+// cross term together. Each apply must succeed and match the reference.
+TEST_P(ViewMaintenanceFuzzTest, StandaloneMaintainerAppliesEveryRound) {
+  const uint64_t seed = GetParam();
+  ONGOINGDB_FUZZ_SEED_TRACE(seed);
+  Rng rng(seed ^ 0x5eedULL);
+  PlanFixture fx;
+  PlanPtr plan =
+      seed % 2 == 0 ? RandomEquiJoinPlan(rng, &fx) : RandomPlan(rng, &fx, 3);
+  for (auto& rel : fx.relations) rel->EnableModificationLog();
+
+  std::unique_ptr<ViewDeltaMaintainer> m = ViewDeltaMaintainer::TryCreate(plan);
+  ASSERT_NE(m, nullptr);
+  auto initial = Execute(plan);
+  ASSERT_TRUE(initial.ok()) << initial.status().ToString();
+  OngoingRelation result = std::move(*initial);
+  ASSERT_TRUE(m->Reseed(result, nullptr).ok());
+  ASSERT_TRUE(m->ready());
+
+  int64_t next_id = 1000;
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    for (auto& rel : fx.relations) {
+      ModifyRandomly(rng, rel.get(), &next_id);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    auto applied = m->ApplyPending(&result, nullptr);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    EXPECT_TRUE(*applied);
+    EXPECT_FALSE(m->HasPendingDeltas());
+    auto reference = ReferenceExecute(plan);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_TRUE(SameTuples(result, *reference));
+  }
+}
+
+// Distinct two-column keys with equal JoinKeyHash must not match in any
+// keyed delta term: the colliding rows land in the caches, in dL and dR.
+TEST(ViewMaintenanceCollisionTest, CollidingKeysDoNotMatch) {
+  if (!key_collisions::Available()) {
+    GTEST_SKIP() << "std::hash<int64_t> is not invertible on this platform";
+  }
+  const std::vector<int64_t> key1{1, 100};
+  const std::vector<int64_t> key2{
+      2, key_collisions::SolveSecondColumn(
+             2, key_collisions::MirrorKeyHash(key1))};
+  const std::vector<size_t> columns{0, 1};
+  auto keyed = [](const std::vector<int64_t>& key, int64_t id) {
+    return std::vector<Value>{
+        Value::Int64(key[0]), Value::Int64(key[1]), Value::Int64(id),
+        Value::Ongoing(OngoingInterval::SinceUntilNow(0))};
+  };
+  ASSERT_EQ(JoinKeyHash(Tuple(keyed(key1, 0)), columns),
+            JoinKeyHash(Tuple(keyed(key2, 0)), columns))
+      << "constructed keys do not collide";
+
+  auto make = [](const std::string& prefix) {
+    return OngoingRelation(
+        Schema({{prefix + "K1", ValueType::kInt64},
+                {prefix + "K2", ValueType::kInt64},
+                {prefix + "ID", ValueType::kInt64},
+                {prefix + "VT", ValueType::kOngoingInterval}}));
+  };
+  OngoingRelation left = make("L_"), right = make("R_");
+  ASSERT_TRUE(left.Insert(keyed(key1, 1)).ok());
+  ASSERT_TRUE(left.Insert(keyed(key2, 2)).ok());
+  ASSERT_TRUE(right.Insert(keyed(key1, 3)).ok());
+  left.EnableModificationLog();
+  right.EnableModificationLog();
+  PlanPtr plan = Join(Scan(&left, "L"), Scan(&right, "R"),
+                      And(Eq(Col("L_K1"), Col("R_K1")),
+                          Eq(Col("L_K2"), Col("R_K2"))),
+                      "L", "R");
+  std::unique_ptr<ViewDeltaMaintainer> m = ViewDeltaMaintainer::TryCreate(plan);
+  ASSERT_NE(m, nullptr);
+  auto initial = Execute(plan);
+  ASSERT_TRUE(initial.ok()) << initial.status().ToString();
+  OngoingRelation result = std::move(*initial);
+  ASSERT_EQ(result.size(), 1u);
+  ASSERT_TRUE(m->Reseed(result, nullptr).ok());
+
+  // dR with the colliding key against the cached L (key1 and key2 rows),
+  // dL with both keys against the cached R and against dR.
+  ASSERT_TRUE(right.Insert(keyed(key2, 4)).ok());
+  ASSERT_TRUE(left.Insert(keyed(key1, 5)).ok());
+  ASSERT_TRUE(left.Insert(keyed(key2, 6)).ok());
+  auto applied = m->ApplyPending(&result, nullptr);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_TRUE(*applied);
+  auto reference = ReferenceExecute(plan);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(reference->size(), 4u);  // each key joins only itself
+  EXPECT_TRUE(SameTuples(result, *reference));
+
+  // Closing a key2 row on L removes only its own matches.
+  auto closed = TemporalDelete(&left, 3, 50, [](const Tuple& t) {
+    return t.value(2).AsInt64() == 2;
+  });
+  ASSERT_TRUE(closed.ok());
+  applied = m->ApplyPending(&result, nullptr);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_TRUE(*applied);
+  reference = ReferenceExecute(plan);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_TRUE(SameTuples(result, *reference));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ViewMaintenanceFuzzTest,
